@@ -9,12 +9,17 @@
 // EXP-NOWTHRASH: the Browser's what-if loop — alternate the NOW
 // override between probes. The segmented index keeps the absolute
 // segment across NOW changes and re-grounds only the NOW-dependent
-// overlay, so an all-absolute table pays nothing per flip. The
-// "forced rebuild" column emulates the pre-segmentation behavior by
-// bumping the heap version before every probe.
+// overlay, so an all-absolute table pays nothing per flip.
+//
+// EXP-WRITE: reads interleaved with writes, in the shape of a clinic —
+// one write transaction, then four point reads through the index. The
+// first read after a write folds the touched rows into the index; the
+// checked bar keeps it within kWriteBar times a warm read, and the
+// bench exits nonzero when the bar is missed.
 //
 // Results are also written to BENCH_period_index.json.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <string>
@@ -125,18 +130,16 @@ int main() {
 
   struct ThrashRow {
     double frac;
-    double per_probe_ms, forced_per_probe_ms;
+    double per_probe_ms;
     int64_t absolute_builds, overlay_builds;
   };
   std::vector<ThrashRow> thrash_rows;
   constexpr int kThrashProbes = 200;
-  constexpr int kForcedProbes = 30;
   const char* kNows[2] = {"SET NOW '1999-11-15'", "SET NOW '1999-11-16'"};
 
   std::printf("\nEXP-NOWTHRASH: alternating NOW override per probe\n");
-  std::printf("%14s %13s %13s %9s %10s %9s\n", "now_rel_frac",
-              "per_probe_ms", "forced_ms", "speedup", "abs_builds",
-              "ovl_builds");
+  std::printf("%14s %13s %10s %9s\n", "now_rel_frac", "per_probe_ms",
+              "abs_builds", "ovl_builds");
   for (double frac : {0.0, 0.10}) {
     const std::string table = frac == 0.0 ? "rx_abs" : "rx_mixed";
     const std::string index = table + "_valid";
@@ -162,32 +165,83 @@ int main() {
     const int64_t abs_builds = counter(table, index, "absolute_builds") - abs0;
     const int64_t ovl_builds = counter(table, index, "overlay_builds") - ovl0;
 
-    // Old-behavior proxy: bump the heap version before each probe so
-    // every probe pays a full rebuild (insert + delete of a marker row
-    // whose NULL timestamp never enters the index).
-    const double forced_ms = bench::TimeMs([&] {
-      for (int i = 0; i < kForcedProbes; ++i) {
-        bench::MustExec(&db, "INSERT INTO " + table +
-                                 " (doctor) VALUES ('__bench_marker')");
-        bench::MustExec(&db, "DELETE FROM " + table +
-                                 " WHERE doctor = '__bench_marker'");
-        bench::MustExec(&db, kNows[i % 2]);
-        bench::MustExec(&db, probe);
-      }
-    });
-
     const double per_probe = thrash_ms / kThrashProbes;
-    const double forced_per_probe = forced_ms / kForcedProbes;
-    std::printf("%14.2f %13.4f %13.3f %8.1fx %10" PRId64 " %9" PRId64 "\n",
-                frac, per_probe, forced_per_probe,
-                forced_per_probe / per_probe, abs_builds, ovl_builds);
-    thrash_rows.push_back(ThrashRow{frac, per_probe, forced_per_probe,
-                                    abs_builds, ovl_builds});
+    std::printf("%14.2f %13.4f %10" PRId64 " %9" PRId64 "\n", frac,
+                per_probe, abs_builds, ovl_builds);
+    thrash_rows.push_back(
+        ThrashRow{frac, per_probe, abs_builds, ovl_builds});
   }
   std::printf(
       "\nshape check: the 0%% table does zero rebuilds while NOW"
-      "\nthrashes; the 10%% table re-grounds only its overlay. Both"
-      "\nbeat the forced full rebuild by a wide margin.\n");
+      "\nthrashes; the 10%% table re-grounds only its overlay.\n");
+
+  // ---- EXP-WRITE ---------------------------------------------------------
+  constexpr int kWriteRounds = 100;
+  constexpr int kReadsPerWrite = 4;
+  constexpr double kWriteBar = 5.0;
+  const std::string clinic = "rx_clinic";
+  config.now_relative_fraction = 0.01;
+  bench::CheckResult(workload::SetUpPrescriptionTable(
+                         &db, conn->tip_types(), config, clinic),
+                     "setup rx_clinic");
+  bench::MustExec(&db, "CREATE INDEX rx_clinic_valid ON rx_clinic (valid) "
+                       "USING interval");
+  bench::MustExec(&db, kNows[0]);
+  auto patient = [&](int i) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "'patient%04d'",
+                  (i * 7919) % config.num_patients);
+    return std::string(name);
+  };
+  auto read = [&](int i) {
+    bench::MustExec(&db, "SELECT drug FROM rx_clinic WHERE patient = " +
+                             patient(i) +
+                             " AND overlaps(valid, "
+                             "'{[1999-11-15, 1999-11-15]}'::Element)");
+  };
+  read(0);  // the initial full build
+  const int64_t builds0 = counter(clinic, "rx_clinic_valid", "absolute_builds");
+  const int64_t applies0 = counter(clinic, "rx_clinic_valid", "delta_applies");
+  std::vector<double> after_write_ms, warm_ms;
+  for (int round = 0; round < kWriteRounds; ++round) {
+    // A new running prescription, and one patient's running ones
+    // closed at NOW (they move from the overlay into the absolute part).
+    bench::MustExec(&db, "BEGIN");
+    bench::MustExec(&db, "INSERT INTO rx_clinic (patient, drug, valid) "
+                         "VALUES (" + patient(round) +
+                             ", 'drug0001', '{[1999-10-01, NOW]}')");
+    bench::MustExec(&db, "UPDATE rx_clinic SET valid = intersect(valid, "
+                         "'{[1980-01-01, 1999-11-15]}'::Element) "
+                         "WHERE patient = " + patient(round + 1) +
+                             " AND overlaps(valid, "
+                             "'{[1999-11-15, 1999-11-15]}'::Element)");
+    bench::MustExec(&db, "COMMIT");
+    for (int r = 0; r < kReadsPerWrite; ++r) {
+      const double ms = bench::TimeMs([&] { read(round * kReadsPerWrite + r); });
+      (r == 0 ? after_write_ms : warm_ms).push_back(ms);
+    }
+  }
+  const int64_t write_builds =
+      counter(clinic, "rx_clinic_valid", "absolute_builds") - builds0;
+  const int64_t write_applies =
+      counter(clinic, "rx_clinic_valid", "delta_applies") - applies0;
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double read_after_write_ms = median(after_write_ms);
+  const double warm_read_ms = median(warm_ms);
+  const double write_ratio = read_after_write_ms / warm_read_ms;
+  const bool write_bar_met = write_ratio <= kWriteBar;
+  std::printf("\nEXP-WRITE: %d rounds of 1 write transaction + %d reads, "
+              "%" PRId64 " rows\n", kWriteRounds, kReadsPerWrite, kRows);
+  std::printf("%20s %13s %9s %10s %14s\n", "read_after_write_ms",
+              "warm_read_ms", "ratio", "abs_builds", "delta_applies");
+  std::printf("%20.4f %13.4f %8.2fx %10" PRId64 " %14" PRId64 "\n",
+              read_after_write_ms, warm_read_ms, write_ratio, write_builds,
+              write_applies);
+  std::printf("bar: read-after-write <= %.0fx warm read: %s\n", kWriteBar,
+              write_bar_met ? "met" : "MISSED");
 
   // ---- machine-readable output -------------------------------------------
   const char* json_path = "BENCH_period_index.json";
@@ -219,18 +273,25 @@ int main() {
     std::fprintf(json,
                  "    {\"now_relative_fraction\": %.2f, \"probes\": %d"
                  ", \"per_probe_ms\": %.4f"
-                 ", \"forced_rebuild_per_probe_ms\": %.4f"
-                 ", \"rebuild_speedup\": %.1f"
                  ", \"absolute_builds\": %" PRId64
                  ", \"overlay_builds\": %" PRId64 "}%s\n",
-                 t.frac, kThrashProbes, t.per_probe_ms,
-                 t.forced_per_probe_ms,
-                 t.forced_per_probe_ms / t.per_probe_ms, t.absolute_builds,
+                 t.frac, kThrashProbes, t.per_probe_ms, t.absolute_builds,
                  t.overlay_builds,
                  i + 1 < thrash_rows.size() ? "," : "");
   }
-  std::fprintf(json, "  ]\n}\n");
+  std::fprintf(json, "  ],\n");
+  std::fprintf(json,
+               "  \"write_interleaved\": {\"rounds\": %d"
+               ", \"reads_per_write\": %d"
+               ", \"read_after_write_ms\": %.4f, \"warm_read_ms\": %.4f"
+               ", \"ratio\": %.2f, \"bar\": %.1f, \"bar_met\": %s"
+               ", \"absolute_builds\": %" PRId64
+               ", \"delta_applies\": %" PRId64 "}\n}\n",
+               kWriteRounds, kReadsPerWrite, read_after_write_ms,
+               warm_read_ms, write_ratio, kWriteBar,
+               write_bar_met ? "true" : "false", write_builds,
+               write_applies);
   std::fclose(json);
   std::printf("\nwrote %s\n", json_path);
-  return 0;
+  return write_bar_met ? 0 : 1;
 }

@@ -79,6 +79,13 @@ Result<std::string> ReadFile(const std::string& path) {
 
 Status AtomicWriteFile(const std::string& path, std::string_view bytes,
                        const std::string& fault_prefix) {
+  return AtomicWriteFile(path, std::vector<std::string_view>{bytes},
+                         fault_prefix);
+}
+
+Status AtomicWriteFile(const std::string& path,
+                       const std::vector<std::string_view>& pieces,
+                       const std::string& fault_prefix) {
   const std::string tmp = path + ".tmp";
   Status inject = fault::MaybeFail((fault_prefix + ".open").c_str());
   std::FILE* f = inject.ok() ? std::fopen(tmp.c_str(), "wb") : nullptr;
@@ -87,9 +94,12 @@ Status AtomicWriteFile(const std::string& path, std::string_view bytes,
     return Status::InvalidArgument("cannot open '" + tmp + "' for writing");
   }
   inject = fault::MaybeFail((fault_prefix + ".write").c_str());
-  const size_t written =
-      inject.ok() ? std::fwrite(bytes.data(), 1, bytes.size(), f) : 0;
-  if (written != bytes.size()) {
+  bool complete = inject.ok();
+  for (size_t i = 0; complete && i < pieces.size(); ++i) {
+    complete = std::fwrite(pieces[i].data(), 1, pieces[i].size(), f) ==
+               pieces[i].size();
+  }
+  if (!complete) {
     std::fclose(f);
     std::remove(tmp.c_str());
     if (!inject.ok()) return inject;

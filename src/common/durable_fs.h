@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 
@@ -41,6 +42,12 @@ Result<std::string> ReadFile(const std::string& path);
 /// <prefix>.write, <prefix>.fsync, <prefix>.close, <prefix>.rename,
 /// <prefix>.dirsync.
 Status AtomicWriteFile(const std::string& path, std::string_view bytes,
+                       const std::string& fault_prefix);
+
+/// The same for a file given as consecutive pieces, written in order,
+/// so a large file need not first be joined into one buffer.
+Status AtomicWriteFile(const std::string& path,
+                       const std::vector<std::string_view>& pieces,
                        const std::string& fault_prefix);
 
 }  // namespace tip::fs

@@ -482,6 +482,8 @@ Status RegisterIndexStats(Database* db) {
           value = stats.rows_scanned;
         } else if (counter == "rows_returned") {
           value = stats.rows_returned;
+        } else if (counter == "delta_applies") {
+          value = stats.delta_applies;
         } else {
           return Status::InvalidArgument("unknown index counter '" +
                                          counter + "'");

@@ -28,11 +28,13 @@ struct Column {
 
 /// A secondary interval index over one column, segmented into a
 /// persistent absolute part and a NOW-dependent overlay (see
-/// IntervalIndexState). The index materializes lazily; a table write
-/// invalidates both segments, a change of the transaction time only the
-/// overlay. (Indexing NOW-relative data is the difficulty Bliujute et
-/// al. discuss; segmenting confines the NOW-induced churn to the rows
-/// that actually mention NOW.)
+/// IntervalIndexState). The index materializes lazily. A table write
+/// costs the rows it touched: the next probe folds them into a small
+/// delta and filters their old absolute entries, and only once the
+/// changes pile up does a full rebuild merge them. A change of the
+/// transaction time re-grounds only the overlay. (Indexing NOW-relative
+/// data is the difficulty Bliujute et al. discuss; segmenting confines
+/// the NOW-induced churn to the rows that actually mention NOW.)
 struct IntervalIndexDef {
   std::string name;
   size_t column;

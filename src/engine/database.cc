@@ -786,8 +786,11 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
             AppendWal(WalRecordKind::kInsert,
                       EncodeInsertBody(table->name(), staged, types_)));
       }
-      CaptureTxnUndo(table);
-      for (Row& row : staged) table->heap().Insert(std::move(row));
+      std::vector<TxnState::Undo>* undo = TxnUndoLog();
+      for (Row& row : staged) {
+        const RowId id = table->heap().Insert(std::move(row));
+        if (undo != nullptr) undo->push_back({table, id, std::nullopt});
+      }
       ResultSet result;
       result.affected_rows = static_cast<int64_t>(staged.size());
       return result;
@@ -877,14 +880,19 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
             EncodeMutateBody(table->name(), delete_ordinals, updates,
                              types_)));
       }
-      CaptureTxnUndo(table);
-      // Phase 2: apply.
+      // Phase 2: apply, moving each replaced image into the undo log.
+      std::vector<TxnState::Undo>* undo = TxnUndoLog();
       for (RowId victim : deletions) {
-        TIP_RETURN_IF_ERROR(table->heap().Delete(victim));
+        Row prior;
+        TIP_RETURN_IF_ERROR(table->heap().Delete(
+            victim, undo != nullptr ? &prior : nullptr));
+        if (undo != nullptr) undo->push_back({table, victim, std::move(prior)});
       }
       for (auto& [target, new_row] : changes) {
-        TIP_RETURN_IF_ERROR(table->heap().Update(target,
-                                                 std::move(new_row)));
+        Row prior;
+        TIP_RETURN_IF_ERROR(table->heap().Update(
+            target, std::move(new_row), undo != nullptr ? &prior : nullptr));
+        if (undo != nullptr) undo->push_back({table, target, std::move(prior)});
       }
       ResultSet result;
       result.affected_rows = static_cast<int64_t>(
@@ -1319,12 +1327,6 @@ Status Database::EnsureTxnWalBracket() {
   return Status::OK();
 }
 
-void Database::CaptureTxnUndo(Table* table) {
-  if (txn_ == nullptr) return;
-  if (txn_->undo.find(table->name()) != txn_->undo.end()) return;
-  txn_->undo.emplace(table->name(), table->heap().SnapshotLiveRows());
-}
-
 Status Database::ClaimWriterTxn(SessionContext* session) {
   SessionContext* s = Sess(session);
   std::optional<TxContext> pin;
@@ -1411,14 +1413,22 @@ Status Database::RollbackTransaction(SessionContext* session) {
   // belongs to another session) have nothing to undo — dropping the
   // pin is the whole rollback.
   if (txn_ != nullptr && txn_session_.load(std::memory_order_acquire) == s) {
-    // Memory first: restore every touched table's undo image. The heap
-    // version counter advances, so interval indexes over these tables
-    // lazily rebuild to the restored (pre-BEGIN) contents.
-    for (auto& [name, rows] : txn_->undo) {
-      Result<Table*> table = catalog_.GetTable(name);
-      // DDL is refused inside transactions, so the table must still
-      // exist; a miss here would be an engine bug, not a user error.
-      if (table.ok()) (*table)->heap().ResetTo(std::move(rows));
+    // Memory first: undo the row changes newest first through the
+    // heap's own primitives. A deleted row is revived in its old slot,
+    // so live ordinals (which WAL records address) are as before BEGIN;
+    // a rolled-back insert stays behind as a tombstone. Every step is
+    // journaled like any write, so interval indexes catch up on the
+    // touched rows only. Each step reverses a change that succeeded, so
+    // none can fail short of an engine bug.
+    for (auto it = txn_->undo.rbegin(); it != txn_->undo.rend(); ++it) {
+      HeapTable& heap = it->table->heap();
+      if (!it->prior.has_value()) {
+        (void)heap.Delete(it->row);
+      } else if (heap.Get(it->row) != nullptr) {
+        (void)heap.Update(it->row, std::move(*it->prior));
+      } else {
+        (void)heap.Revive(it->row, std::move(*it->prior));
+      }
     }
     // Then the log: rewind to the pre-bracket mark, un-assigning the
     // transaction's LSNs — tip_wal_stats() reads exactly as it did

@@ -307,7 +307,7 @@ class Database {
   /// evaluates under that NOW, even if SetNowOverride flips the session
   /// override meanwhile (the override re-applies at COMMIT/ROLLBACK;
   /// SQL `SET NOW` inside a transaction is refused outright). DML takes
-  /// an undo image of each table on first touch, and the first logged
+  /// a row-level undo entry for every row it changes, and the first logged
   /// write opens a TXN_BEGIN bracket in the WAL. DDL, SET wal_mode and
   /// checkpoints are refused while any transaction is open.
   ///
@@ -325,10 +325,10 @@ class Database {
   /// their pin.
   Status CommitTransaction(SessionContext* session = nullptr);
 
-  /// ROLLBACK: restores every touched table from its undo image (heap
-  /// contents and interval indexes return to the pre-BEGIN state) and
-  /// rewinds the WAL to the pre-bracket mark, un-assigning the
-  /// transaction's LSNs.
+  /// ROLLBACK: undoes the transaction's row changes newest first (heap
+  /// contents, live-row order and interval indexes return to the
+  /// pre-BEGIN state) and rewinds the WAL to the pre-bracket mark,
+  /// un-assigning the transaction's LSNs.
   Status RollbackTransaction(SessionContext* session = nullptr);
 
   /// True between BEGIN and COMMIT/ROLLBACK on `session`. Thread-safe:
@@ -563,8 +563,15 @@ class Database {
     TxContext tx;            // pinned at BEGIN; every statement's NOW
     bool bracketed = false;  // TXN_BEGIN has been appended to the WAL
     WalMark mark;            // the log tail just before the bracket
-    /// Undo images: each touched table's live rows at first touch.
-    std::map<std::string, std::vector<Row>, std::less<>> undo;
+    /// One row change: the row's image before it, or nullopt when the
+    /// change inserted the row. Tables cannot be dropped mid-transaction
+    /// (DDL is refused), so the pointer stays valid.
+    struct Undo {
+      Table* table;
+      RowId row;
+      std::optional<Row> prior;
+    };
+    std::vector<Undo> undo;  // oldest first
   };
   /// Materializes the writer slot for `session`'s open transaction (a
   /// no-op when this session already owns it, or when no transaction
@@ -576,8 +583,11 @@ class Database {
   /// Lazily opens the WAL bracket before the transaction's first
   /// logged write (read-only transactions never touch the log).
   Status EnsureTxnWalBracket();
-  /// Saves `table`'s rows into the undo log at first touch.
-  void CaptureTxnUndo(Table* table);
+  /// The open writing transaction's undo log, or nullptr when the
+  /// write is auto-committed and needs none.
+  std::vector<TxnState::Undo>* TxnUndoLog() {
+    return txn_ != nullptr ? &txn_->undo : nullptr;
+  }
   /// InvalidArgument("<what> is not allowed inside a transaction") when
   /// any session's transaction is open, OK otherwise. Accurate for the
   /// statements that use it (DDL, wal_mode, checkpoint): they run under

@@ -14,56 +14,65 @@ RowId HeapTable::Insert(Row row) {
   page.live.push_back(true);
   AddRowHash(page.rows.back());
   ++live_rows_;
-  ++version_;
-  return MakeRowId(page_no, slot);
+  const RowId id = MakeRowId(page_no, slot);
+  Touch(id);
+  return id;
 }
 
-Status HeapTable::Delete(RowId id) {
-  const uint32_t page_no = RowIdPage(id);
-  const uint32_t slot = RowIdSlot(id);
-  if (page_no >= pages_.size() || slot >= pages_[page_no]->rows.size() ||
-      !pages_[page_no]->live[slot]) {
-    return Status::NotFound("row id not found");
-  }
-  SubRowHash(pages_[page_no]->rows[slot]);
-  pages_[page_no]->live[slot] = false;
-  pages_[page_no]->rows[slot].clear();  // release value storage eagerly
+Status HeapTable::Delete(RowId id, Row* prior) {
+  Row* row = LiveRow(id);
+  if (row == nullptr) return Status::NotFound("row id not found");
+  SubRowHash(*row);
+  pages_[RowIdPage(id)]->live[RowIdSlot(id)] = false;
+  if (prior != nullptr) *prior = std::move(*row);
+  row->clear();  // release value storage eagerly
   --live_rows_;
-  ++version_;
+  Touch(id);
   return Status::OK();
 }
 
-Status HeapTable::Update(RowId id, Row row) {
+Status HeapTable::Update(RowId id, Row row, Row* prior) {
+  Row* target = LiveRow(id);
+  if (target == nullptr) return Status::NotFound("row id not found");
+  SubRowHash(*target);
+  if (prior != nullptr) *prior = std::move(*target);
+  *target = std::move(row);
+  AddRowHash(*target);
+  Touch(id);
+  return Status::OK();
+}
+
+Status HeapTable::Revive(RowId id, Row row) {
   const uint32_t page_no = RowIdPage(id);
   const uint32_t slot = RowIdSlot(id);
   if (page_no >= pages_.size() || slot >= pages_[page_no]->rows.size() ||
-      !pages_[page_no]->live[slot]) {
-    return Status::NotFound("row id not found");
+      pages_[page_no]->live[slot]) {
+    return Status::NotFound("row id is not a tombstone");
   }
-  SubRowHash(pages_[page_no]->rows[slot]);
   pages_[page_no]->rows[slot] = std::move(row);
+  pages_[page_no]->live[slot] = true;
   AddRowHash(pages_[page_no]->rows[slot]);
-  ++version_;
+  ++live_rows_;
+  Touch(id);
   return Status::OK();
 }
 
-std::vector<Row> HeapTable::SnapshotLiveRows() const {
-  std::vector<Row> rows;
-  rows.reserve(live_rows_);
-  Cursor cursor = Scan();
-  RowId id;
-  const Row* row;
-  while (cursor.Next(&id, &row)) rows.push_back(*row);
-  return rows;
+bool HeapTable::ChangedSince(uint64_t version,
+                             std::vector<RowId>* out) const {
+  if (version < journal_base_ || version > version_) return false;
+  const auto first =
+      journal_.begin() + static_cast<ptrdiff_t>(version - journal_base_);
+  out->insert(out->end(), first, journal_.end());
+  return true;
 }
 
-void HeapTable::ResetTo(std::vector<Row> rows) {
-  pages_.clear();
-  live_rows_ = 0;
-  content_checksum_ = 0;
-  checksum_maintained_ = row_hasher_ != nullptr;
-  ++version_;  // Insert bumps it too, but rows may be empty
-  for (Row& row : rows) Insert(std::move(row));
+void HeapTable::Touch(RowId id) {
+  ++version_;
+  journal_.push_back(id);
+  if (journal_.size() > kJournalCapacity) {
+    journal_.pop_front();
+    ++journal_base_;
+  }
 }
 
 void HeapTable::set_row_hasher(RowHasher hasher) {
@@ -110,6 +119,8 @@ const Row* HeapTable::Get(RowId id) const {
   }
   return &pages_[page_no]->rows[slot];
 }
+
+Row* HeapTable::LiveRow(RowId id) { return const_cast<Row*>(Get(id)); }
 
 bool HeapTable::Cursor::Next(RowId* id, const Row** row) {
   while (page_ < page_end_ && page_ < table_->pages_.size()) {

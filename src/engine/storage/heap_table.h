@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -17,7 +18,8 @@ namespace tip::engine {
 /// Identifies one stored row: page number in the high bits, slot within
 /// the page in the low bits. Stable for the lifetime of the row (updates
 /// happen in place; slots of deleted rows are not reused, mirroring a
-/// heap file before VACUUM).
+/// heap file before VACUUM — only a ROLLBACK puts the deleted row itself
+/// back into its slot).
 using RowId = uint64_t;
 
 inline constexpr uint32_t kRowsPerPage = 256;
@@ -46,23 +48,21 @@ class HeapTable {
   RowId Insert(Row row);
 
   /// Tombstones a row. NotFound if the id is invalid or already deleted.
-  Status Delete(RowId id);
+  /// When `prior` is given, the deleted row is moved into it.
+  Status Delete(RowId id, Row* prior = nullptr);
 
   /// Replaces a row in place. NotFound if the id is invalid or deleted.
-  Status Update(RowId id, Row row);
+  /// When `prior` is given, the replaced row is moved into it.
+  Status Update(RowId id, Row row, Row* prior = nullptr);
+
+  /// Puts `row` back into the tombstoned slot `id` (ROLLBACK of a
+  /// Delete). The row regains its old place in scan order, so every
+  /// live row keeps the ordinal it had before the delete. NotFound if
+  /// the slot was never allocated or is live.
+  Status Revive(RowId id, Row row);
 
   /// Fetches a live row; nullptr if deleted or out of range.
   const Row* Get(RowId id) const;
-
-  /// Copies the live rows in scan order — the logical table contents,
-  /// captured as a transaction's undo image.
-  std::vector<Row> SnapshotLiveRows() const;
-
-  /// Discards everything and re-inserts `rows` as the new contents
-  /// (ROLLBACK restoring an undo image). RowIds are compacted exactly
-  /// as a snapshot restore compacts them, and the version counter keeps
-  /// advancing so indexes over the heap notice and rebuild.
-  void ResetTo(std::vector<Row> rows);
 
   /// Number of live rows.
   size_t row_count() const { return live_rows_; }
@@ -97,9 +97,19 @@ class HeapTable {
     return Cursor(this, page_begin, std::min(page_end, page_count()));
   }
 
-  /// Monotonically increasing change counter; bumped by every write.
-  /// Indexes use it to detect staleness.
+  /// Monotonically increasing change counter; every Insert, Update,
+  /// Delete and Revive bumps it by exactly one. Indexes use it to detect
+  /// staleness.
   uint64_t version() const { return version_; }
+
+  /// How many version bumps the change journal remembers.
+  static constexpr size_t kJournalCapacity = 4096;
+
+  /// Appends to `out` the row touched by each version bump after
+  /// `version`, oldest first (a row touched twice appears twice).
+  /// Returns false, appending nothing, when those bumps are older than
+  /// the journal's window: the caller must rescan the heap.
+  bool ChangedSince(uint64_t version, std::vector<RowId>* out) const;
 
   /// Hash of one row's logical content, or nullopt when hashing is
   /// currently disabled. Installed by the owning database so the heap
@@ -112,7 +122,7 @@ class HeapTable {
   const RowHasher& row_hasher() const { return row_hasher_; }
 
   /// Order-independent wrapping sum of per-row hashes over the live
-  /// rows, maintained incrementally by Insert/Update/Delete/ResetTo.
+  /// rows, maintained incrementally by every mutation.
   /// Meaningful only while checksum_maintained() is true.
   uint64_t content_checksum() const { return content_checksum_; }
 
@@ -132,10 +142,20 @@ class HeapTable {
 
   void AddRowHash(const Row& row);
   void SubRowHash(const Row& row);
+  /// The live row `id` names, or nullptr.
+  Row* LiveRow(RowId id);
+  /// Bumps the version and journals `id` as the row it touched.
+  void Touch(RowId id);
 
   std::vector<std::unique_ptr<Page>> pages_;
   size_t live_rows_ = 0;
   uint64_t version_ = 0;
+  // Change journal: journal_[i] is the row touched by the bump to
+  // version journal_base_ + i + 1, so journal_base_ + size() ==
+  // version_. A sliding window: past kJournalCapacity the oldest entry
+  // is dropped.
+  std::deque<RowId> journal_;
+  uint64_t journal_base_ = 0;
   RowHasher row_hasher_;
   uint64_t content_checksum_ = 0;
   bool checksum_maintained_ = false;

@@ -46,7 +46,9 @@ Status CheckOneIndex(Database* db, Table* table, const IntervalIndexDef& def,
   TIP_ASSIGN_OR_RETURN(IntervalIndexView view,
                        table->GetIntervalIndex(def.column, tx));
 
-  auto fail = [finding, &def](std::string what) {
+  bool damaged = false;
+  auto fail = [finding, &def, &damaged](std::string what) {
+    damaged = true;
     finding->ok = false;
     if (!finding->detail.empty()) finding->detail += "; ";
     finding->detail += "index '" + def.name + "': " + std::move(what);
@@ -94,6 +96,9 @@ Status CheckOneIndex(Database* db, Table* table, const IntervalIndexDef& def,
            " is indexed under an interval that does not overlap its key");
     }
   }
+  // Later writes must not be folded into damaged parts: the next one
+  // rebuilds the index from the heap.
+  if (damaged) def.state->DistrustParts();
   return Status::OK();
 }
 

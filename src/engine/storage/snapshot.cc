@@ -31,12 +31,20 @@ constexpr uint64_t kMaxTables = 1u << 20;
 constexpr uint64_t kMaxColumns = 1u << 16;
 constexpr uint64_t kMaxIndexes = 1u << 16;
 
+/// Snapshot bytes are built as consecutive chunks of about this size:
+/// one table's rows can be most of the file, and one string would hold
+/// them with up to as much again in growth slack, plus a second copy
+/// when the section is framed.
+constexpr size_t kChunkBytes = size_t{1} << 20;
+
 /// Serializes one table into a v2 section body (also the v1 per-table
-/// grammar).
+/// grammar), appending to `chunks->back()` and starting a fresh chunk
+/// after any row that fills it.
 Status AppendTableBody(const Database& db, const std::string& name,
-                       std::string* out) {
+                       std::vector<std::string>* chunks) {
   const TypeRegistry& types = db.types();
   TIP_ASSIGN_OR_RETURN(const Table* table, db.catalog().GetTable(name));
+  std::string* out = &chunks->back();
   PutString(table->name(), out);
   PutU64(table->columns().size(), out);
   for (const Column& col : table->columns()) {
@@ -61,8 +69,49 @@ Status AppendTableBody(const Database& db, const std::string& name,
       out->push_back(1);
       PutString(types.Serialize(value), out);
     }
+    if (out->size() >= kChunkBytes - kChunkBytes / 8) {
+      out = &chunks->emplace_back();
+    }
   }
   return Status::OK();
+}
+
+/// The snapshot file's bytes, in order, as chunks.
+Result<std::vector<std::string>> SnapshotChunks(const Database& db) {
+  std::vector<std::string> chunks(1, std::string(kMagicV2, kMagicLen));
+  const std::vector<std::string> names = db.catalog().TableNames();
+  PutU64(names.size(), &chunks.back());
+  for (const std::string& name : names) {
+    // The section's length and CRC precede its body: reserve them, and
+    // fill them in once the body is serialized.
+    const size_t frame_chunk = chunks.size() - 1;
+    const size_t frame_pos = chunks.back().size();
+    PutU64(0, &chunks.back());
+    PutU32(0, &chunks.back());
+    const size_t body_chunk = chunks.size();
+    chunks.emplace_back();
+    TIP_RETURN_IF_ERROR(AppendTableBody(db, name, &chunks));
+    std::string frame;
+    uint64_t body_size = 0;
+    uint32_t body_crc = 0;
+    for (size_t i = body_chunk; i < chunks.size(); ++i) {
+      body_size += chunks[i].size();
+      body_crc = Crc32Update(body_crc, chunks[i]);
+    }
+    PutU64(body_size, &frame);
+    PutU32(body_crc, &frame);
+    chunks[frame_chunk].replace(frame_pos, frame.size(), frame);
+  }
+  uint64_t payload = 0;
+  for (const std::string& chunk : chunks) payload += chunk.size();
+  std::string footer(kFooterMagic, kMagicLen);
+  PutU64(names.size(), &footer);
+  PutU64(payload, &footer);
+  PutU32(Crc32(footer), &footer);
+  std::string& tail = chunks.emplace_back();
+  PutU64(footer.size(), &tail);
+  tail.append(footer);
+  return chunks;
 }
 
 /// Parses one table section body and creates the table. The body must
@@ -393,34 +442,25 @@ Status ReadV2Sections(std::string_view bytes,
 }  // namespace
 
 Result<std::string> SaveSnapshot(const Database& db) {
-  std::string out(kMagicV2, kMagicLen);
-  const std::vector<std::string> names = db.catalog().TableNames();
-  PutU64(names.size(), &out);
-  for (const std::string& name : names) {
-    std::string body;
-    TIP_RETURN_IF_ERROR(AppendTableBody(db, name, &body));
-    PutU64(body.size(), &out);
-    PutU32(Crc32(body), &out);
-    out.append(body);
-  }
-  std::string footer(kFooterMagic, kMagicLen);
-  PutU64(names.size(), &footer);
-  PutU64(out.size(), &footer);
-  PutU32(Crc32(footer), &footer);
-  PutU64(footer.size(), &out);
-  out.append(footer);
+  TIP_ASSIGN_OR_RETURN(std::vector<std::string> chunks, SnapshotChunks(db));
+  size_t size = 0;
+  for (const std::string& chunk : chunks) size += chunk.size();
+  std::string out;
+  out.reserve(size);
+  for (const std::string& chunk : chunks) out.append(chunk);
   return out;
 }
 
 Status SaveSnapshotToFile(const Database& db, std::string_view path) {
-  TIP_ASSIGN_OR_RETURN(std::string bytes, SaveSnapshot(db));
+  TIP_ASSIGN_OR_RETURN(std::vector<std::string> chunks, SnapshotChunks(db));
+  const std::vector<std::string_view> pieces(chunks.begin(), chunks.end());
 
   // Crash safety: write + fsync a temp file, atomically rename it over
   // the destination, then fsync the parent directory (the rename alone
   // is not durable on ext4/XFS). A crash at any point leaves either the
   // old snapshot or the complete new one — never a torn file — and the
   // fault points let tests kill the save at each step.
-  return fs::AtomicWriteFile(std::string(path), bytes, "snapshot");
+  return fs::AtomicWriteFile(std::string(path), pieces, "snapshot");
 }
 
 Status LoadSnapshot(Database* db, std::string_view bytes) {

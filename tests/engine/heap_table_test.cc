@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace tip::engine {
 namespace {
 
@@ -86,6 +88,55 @@ TEST(HeapTableTest, VersionBumpsOnEveryWrite) {
   uint64_t v2 = t.version();
   ASSERT_TRUE(t.Delete(a).ok());
   EXPECT_GT(t.version(), v2);
+}
+
+TEST(HeapTableTest, PriorImagesAndReviveRestoreTheRowInPlace) {
+  HeapTable t;
+  RowId a = t.Insert(R(1));
+  RowId b = t.Insert(R(2));
+  RowId c = t.Insert(R(3));
+  Row prior;
+  ASSERT_TRUE(t.Update(b, R(20), &prior).ok());
+  EXPECT_EQ(prior[0].int_value(), 2);
+  ASSERT_TRUE(t.Delete(b, &prior).ok());
+  EXPECT_EQ(prior[0].int_value(), 20);
+  EXPECT_FALSE(t.Revive(a, R(9)).ok());           // live slot
+  EXPECT_FALSE(t.Revive(MakeRowId(7, 0), R(9)).ok());  // never allocated
+  ASSERT_TRUE(t.Revive(b, R(2)).ok());
+  EXPECT_EQ(t.row_count(), 3u);
+  // The revived row is back between its neighbours in scan order.
+  std::vector<RowId> order;
+  HeapTable::Cursor cursor = t.Scan();
+  RowId id;
+  const Row* row;
+  while (cursor.Next(&id, &row)) order.push_back(id);
+  EXPECT_EQ(order, (std::vector<RowId>{a, b, c}));
+}
+
+TEST(HeapTableTest, ChangeJournalNamesTouchedRowsWithinItsWindow) {
+  HeapTable t;
+  RowId a = t.Insert(R(1));
+  const uint64_t v = t.version();
+  RowId b = t.Insert(R(2));
+  ASSERT_TRUE(t.Update(a, R(3)).ok());
+  ASSERT_TRUE(t.Delete(b).ok());
+  std::vector<RowId> changed;
+  ASSERT_TRUE(t.ChangedSince(v, &changed));
+  EXPECT_EQ(changed, (std::vector<RowId>{b, a, b}));
+  changed.clear();
+  ASSERT_TRUE(t.ChangedSince(t.version(), &changed));
+  EXPECT_TRUE(changed.empty());
+
+  // Past its capacity the journal forgets the oldest bumps: a reader
+  // that far behind must rescan.
+  const uint64_t old = t.version();
+  for (size_t i = 0; i <= HeapTable::kJournalCapacity; ++i) {
+    ASSERT_TRUE(t.Update(a, R(static_cast<int64_t>(i))).ok());
+  }
+  EXPECT_FALSE(t.ChangedSince(old, &changed));
+  EXPECT_TRUE(changed.empty());
+  ASSERT_TRUE(t.ChangedSince(old + 1, &changed));
+  EXPECT_EQ(changed.size(), HeapTable::kJournalCapacity);
 }
 
 TEST(HeapTableTest, RowIdEncoding) {

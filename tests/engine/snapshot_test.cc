@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "common/durable_fs.h"
 #include "datablade/datablade.h"
 #include "engine/database.h"
 
@@ -85,6 +86,40 @@ TEST_F(SnapshotTest, FileRoundTrip) {
             2);
   std::remove(path.c_str());
   EXPECT_FALSE(LoadSnapshotFromFile(&restored, path).ok());
+}
+
+TEST_F(SnapshotTest, MultiMegabyteTableSavesTheSameBytesToFileAndString) {
+  // Megabytes of one table: the save builds it in chunks, and
+  // the file, the in-memory form and a reload must all agree.
+  Exec(&db_, "CREATE TABLE big (name CHAR(40), n INT)");
+  for (int batch = 0; batch < 40; ++batch) {
+    std::string sql = "INSERT INTO big VALUES ";
+    for (int i = 0; i < 1000; ++i) {
+      if (i > 0) sql += ", ";
+      sql += "('row-" + std::to_string(batch) + "-" + std::to_string(i) +
+             "-padding-padding', " + std::to_string(batch * 1000 + i) + ")";
+    }
+    Exec(&db_, sql);
+  }
+  Result<std::string> bytes = SaveSnapshot(db_);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  ASSERT_GT(bytes->size(), size_t{1} << 20);
+
+  const std::string path = ::testing::TempDir() + "/tip_snapshot_big.bin";
+  ASSERT_TRUE(SaveSnapshotToFile(db_, path).ok());
+  Result<std::string> file = fs::ReadFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_TRUE(*file == *bytes);
+
+  Database restored;
+  ASSERT_TRUE(datablade::Install(&restored).ok());
+  ASSERT_TRUE(LoadSnapshot(&restored, *bytes).ok());
+  EXPECT_EQ(Exec(&restored, "SELECT count(*) FROM big").rows[0][0].int_value(),
+            40000);
+  Result<std::string> again = SaveSnapshot(restored);
+  ASSERT_TRUE(again.ok());
+  EXPECT_TRUE(*again == *bytes);
 }
 
 TEST_F(SnapshotTest, LoadRequiresInstalledTypes) {

@@ -12,6 +12,11 @@
 //                        during attach.
 //   recovery.apply     — a WAL record that fails to re-apply during
 //                        replay.
+//   integrity.indexentry — an interval-index entry recorded under a
+//                        wrong row id (index rot), both by a full
+//                        build and by the catch-up that folds a write
+//                        into the index; online only, its leg is CHECK
+//                        detection in both directions.
 
 #include <gtest/gtest.h>
 
@@ -130,6 +135,69 @@ TEST_F(FaultMatrixTest, RowHashFaultDoesNotSurviveReopen) {
   EXPECT_EQ(Exec(db.get(), "CHECK TABLE t").rows[0][1].string_value(), "ok");
   EXPECT_EQ(Exec(db.get(), "SELECT count(*) FROM t").rows[0][0].int_value(),
             1);
+}
+
+// ---- integrity.indexentry -------------------------------------------------
+
+/// The index-rot leg: arms the fault at the next index entry, lets
+/// CHECK TABLE trigger the index work, and expects both the phantom
+/// entry and the live row the index lost to be reported.
+void ExpectIndexRotDetected(Database* db) {
+  fault::InjectAt("integrity.indexentry", 0);
+  Result<ResultSet> rs = db->Execute("CHECK TABLE emp");
+  fault::ClearAll();
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_EQ(rs->rows.size(), 1u);
+  const std::string detail = rs->rows[0][2].string_value();
+  EXPECT_EQ(rs->rows[0][1].string_value(), "corrupt");
+  EXPECT_NE(detail.find("not a live heap row"), std::string::npos) << detail;
+  EXPECT_NE(detail.find("missing from the index"), std::string::npos)
+      << detail;
+}
+
+int64_t IndexCounter(Database* db, const std::string& name) {
+  Result<ResultSet> rs = db->Execute(
+      "SELECT tip_index_stats('emp', 'emp_valid', '" + name + "')");
+  EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+  return rs.ok() ? rs->rows[0][0].int_value() : -1;
+}
+
+TEST_F(FaultMatrixTest, IndexEntryFaultInAFullBuildIsDetectedByCheck) {
+  Database db;
+  ASSERT_TRUE(datablade::Install(&db).ok());
+  Exec(&db, "CREATE TABLE emp (id INT, valid Element)");
+  Exec(&db, "CREATE INDEX emp_valid ON emp (valid) USING interval");
+  Exec(&db, "INSERT INTO emp VALUES (1, '{[1999-01-01, 1999-06-01]}'), "
+            "(2, '{[1998-01-01, 1998-06-01]}')");
+  ExpectIndexRotDetected(&db);
+  EXPECT_EQ(IndexCounter(&db, "absolute_builds"), 1);
+  EXPECT_EQ(IndexCounter(&db, "delta_applies"), 0);
+}
+
+TEST_F(FaultMatrixTest, IndexEntryFaultInAWriteCatchUpIsDetectedByCheck) {
+  Database db;
+  ASSERT_TRUE(datablade::Install(&db).ok());
+  Exec(&db, "CREATE TABLE emp (id INT, valid Element)");
+  Exec(&db, "CREATE INDEX emp_valid ON emp (valid) USING interval");
+  Exec(&db, "INSERT INTO emp VALUES (1, '{[1999-01-01, 1999-06-01]}'), "
+            "(2, '{[1998-01-01, 1998-06-01]}')");
+  EXPECT_EQ(Exec(&db, "CHECK TABLE emp").rows[0][1].string_value(), "ok");
+
+  // The rot enters through the catch-up that folds this write in, not
+  // through a full build.
+  Exec(&db, "UPDATE emp SET valid = '{[1997-01-01, 1997-06-01]}' "
+            "WHERE id = 2");
+  ExpectIndexRotDetected(&db);
+  EXPECT_EQ(IndexCounter(&db, "absolute_builds"), 1);
+  EXPECT_EQ(IndexCounter(&db, "delta_applies"), 1);
+
+  // The damage stays visible while the heap is unchanged, and the next
+  // write rebuilds from the heap instead of folding into the damage.
+  EXPECT_EQ(Exec(&db, "CHECK TABLE emp").rows[0][1].string_value(),
+            "corrupt");
+  Exec(&db, "INSERT INTO emp VALUES (3, '{[1996-01-01, 1996-06-01]}')");
+  EXPECT_EQ(Exec(&db, "CHECK TABLE emp").rows[0][1].string_value(), "ok");
+  EXPECT_EQ(IndexCounter(&db, "absolute_builds"), 2);
 }
 
 // ---- snapshot.section ------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "common/fault_injection.h"
 #include "datablade/datablade.h"
 #include "engine/database.h"
+#include "engine/storage/heap_table.h"
 #include "engine/storage/snapshot.h"
 
 namespace tip::engine {
@@ -147,6 +148,86 @@ TEST_F(TransactionTest, RollbackRestoresTablesIndexesAndWalByteForByte) {
                 "'{[1996-01-01, 1996-06-01]}')");
   ASSERT_EQ(post_probe.rows.size(), 1u);
   EXPECT_EQ(post_probe.rows[0][0].int_value(), 2);
+}
+
+TEST_F(TransactionTest, RowLevelUndoKeepsLiveOrderForWalAddressing) {
+  const std::string dir = FreshDir("row_undo");
+  std::unique_ptr<Database> db = OpenDurable(dir);
+  Exec(db.get(), "SET wal_mode 'sync'");
+  Exec(db.get(), "CREATE TABLE emp (id INT, name CHAR(8), valid Element)");
+  Exec(db.get(), "CREATE INDEX emp_valid ON emp (valid) USING interval");
+  for (int i = 0; i < 10; ++i) {
+    const std::string month = std::to_string(i % 9 + 1);
+    Exec(db.get(), "INSERT INTO emp VALUES (" + std::to_string(i) +
+                       ", 'n" + std::to_string(i) + "', '{[1999-0" + month +
+                       "-01, " +
+                       (i % 2 == 0 ? std::string("NOW") : "1999-0" + month +
+                                                              "-20") +
+                       "]}')");
+  }
+  // A tombstone ahead of the rows the transaction touches, so live
+  // ordinals and slots differ.
+  Exec(db.get(), "DELETE FROM emp WHERE id = 3");
+  ASSERT_TRUE(db->Checkpoint().ok());
+
+  const std::string probe =
+      "SELECT id FROM emp WHERE overlaps(valid, '{[1999-02-10, 1999-05-10]}')";
+  // Scan order is live-ordinal order: the order WAL records address.
+  auto live_order = [&db] {
+    std::vector<std::string> out;
+    for (const Row& row : Exec(db.get(), "SELECT id, name FROM emp").rows) {
+      out.push_back(std::to_string(row[0].int_value()) + ":" +
+                    row[1].string_value());
+    }
+    return out;
+  };
+  const HeapTable& heap = (*db->catalog().GetTable("emp"))->heap();
+  ASSERT_TRUE(heap.checksum_maintained());
+  const std::vector<std::string> order_before = live_order();
+  const uint64_t checksum_before = heap.content_checksum();
+  const std::string digest_before = Digest(*db);
+  const size_t probe_before = Exec(db.get(), probe).rows.size();
+
+  // Insert, update and delete the same rows, moving some between the
+  // NOW-relative overlay and the absolute part of the index.
+  Exec(db.get(), "BEGIN");
+  Exec(db.get(), "INSERT INTO emp VALUES (100, 'new', '{[1999-03-01, NOW]}'), "
+                 "(101, 'new', '{[1999-04-01, 1999-04-05]}')");
+  Exec(db.get(), "UPDATE emp SET name = 'upd' WHERE id = 2 OR id = 5 "
+                 "OR id = 100");
+  Exec(db.get(), "UPDATE emp SET valid = '{[1999-03-01, 1999-03-02]}' "
+                 "WHERE id = 4 OR id = 100");
+  Exec(db.get(), "DELETE FROM emp WHERE id = 2 OR id = 7 OR id = 100");
+  Exec(db.get(), "UPDATE emp SET name = 'again', valid = '{[1999-02-01, NOW]}' "
+                 "WHERE id = 101 OR id = 9");
+  EXPECT_EQ(Count(db.get(), "emp"), 8);
+  EXPECT_EQ(Exec(db.get(), "ROLLBACK").message, "ROLLBACK");
+
+  EXPECT_EQ(live_order(), order_before);
+  EXPECT_EQ(heap.content_checksum(), checksum_before);
+  EXPECT_EQ(Digest(*db), digest_before);
+  EXPECT_EQ(Exec(db.get(), probe).rows.size(), probe_before);
+  ResultSet check = Exec(db.get(), "CHECK TABLE emp");
+  ASSERT_EQ(check.rows.size(), 1u);
+  EXPECT_EQ(check.rows[0][1].string_value(), "ok")
+      << check.rows[0][2].string_value();
+
+  // Committed writes after the rollback are logged by live ordinal and
+  // replayed over the pre-BEGIN snapshot: recovery must land on exactly
+  // this state, and so must a checkpoint of it.
+  Exec(db.get(), "UPDATE emp SET name = 'after' WHERE id = 8");
+  Exec(db.get(), "DELETE FROM emp WHERE id = 1");
+  const std::vector<std::string> order_after = live_order();
+  const std::string digest_after = Digest(*db);
+  db.reset();
+  db = OpenDurable(dir);
+  EXPECT_EQ(live_order(), order_after);
+  EXPECT_EQ(Digest(*db), digest_after);
+  ASSERT_TRUE(db->Checkpoint().ok());
+  db.reset();
+  db = OpenDurable(dir);
+  EXPECT_EQ(live_order(), order_after);
+  EXPECT_EQ(Digest(*db), digest_after);
 }
 
 TEST_F(TransactionTest, ValidationErrorLeavesTheTransactionOpen) {
