@@ -37,6 +37,10 @@ struct AllenCase {
   const char* relation;
 };
 
+// Names each case by its relation. Without it gtest prints the raw bytes
+// of the three pointers, so the test names change from run to run.
+void PrintTo(const AllenCase& c, std::ostream* os) { *os << c.relation; }
+
 class AllenSqlTest : public RoutinesTest,
                      public ::testing::WithParamInterface<AllenCase> {};
 
