@@ -1,4 +1,3 @@
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -7,6 +6,7 @@
 
 #include "common/string_util.h"
 #include "engine/database.h"
+#include "engine/metrics.h"
 #include "engine/storage/integrity.h"
 
 namespace tip::engine {
@@ -434,109 +434,110 @@ Status RegisterAggregates(Database* db) {
   return Status::OK();
 }
 
-Result<IndexStatsSnapshot> LookupIndexStats(const Database* db,
-                                            const std::string& table_name,
-                                            const std::string& index_name) {
-  TIP_ASSIGN_OR_RETURN(const Table* table,
-                       db->catalog().GetTable(table_name));
-  for (const IntervalIndexDef& def : table->interval_indexes()) {
-    if (EqualsIgnoreCase(def.name, index_name)) return def.stats();
+// Registers a counter group's two routine overloads, which share one
+// body: `name(keys...)` returns the group's formatted line, followed by
+// `suffix(db)` when given, and `name(keys..., 'counter')` one counter
+// as INT. `with(args, use)` finds the counters the call's key arguments
+// name and returns `use(counters)`.
+template <typename Source, typename With>
+Status RegisterCounters(Database* db, std::string name, size_t keys,
+                        const metrics::Group<Source>& group, With with,
+                        std::string (*suffix)(const Database&) = nullptr) {
+  const metrics::Group<Source>* g = &group;
+  auto body = [db, g, keys, with, suffix](const std::vector<Datum>& a,
+                                          EvalContext&) -> Result<Datum> {
+    return with(a, [&](const Source& counters) -> Result<Datum> {
+      if (a.size() == keys) {
+        return Datum::String(metrics::Line(*g, counters) +
+                             (suffix != nullptr ? suffix(*db) : ""));
+      }
+      TIP_ASSIGN_OR_RETURN(
+          uint64_t value,
+          metrics::Lookup(*g, counters, a[keys].string_value()));
+      return Datum::Int(static_cast<int64_t>(value));
+    });
+  };
+  std::vector<TypeId> params(keys, TypeId::kString);
+  TIP_RETURN_IF_ERROR(db->routines().Register(
+      MakeRoutine(name, params, TypeId::kString, body)));
+  params.push_back(TypeId::kString);
+  return db->routines().Register(MakeRoutine(
+      std::move(name), std::move(params), TypeId::kInt, std::move(body)));
+}
+
+// tip_health()'s text after its counters: the quarantine list, then
+// the corruption manifest a salvage-mode open left behind.
+std::string HealthDetail(const Database& db) {
+  std::string out;
+  for (const auto& [name, cause] : db.catalog().QuarantineList()) {
+    out += " [" + name + ": " + cause + "]";
   }
-  return Status::NotFound("index '" + index_name + "' does not exist on '" +
-                          table->name() + "'");
+  const auto manifest = db.corruption_manifest();
+  if (!manifest.empty()) {
+    out += " manifest=" + std::to_string(manifest.size());
+    for (const CorruptionManifestEntry& entry : manifest) {
+      out += " {" + entry.object + " @ " + entry.file;
+      if (entry.lsn != 0) out += " lsn=" + std::to_string(entry.lsn);
+      if (entry.offset != 0) {
+        out += " offset=" + std::to_string(entry.offset);
+      }
+      out += ": " + entry.cause + "}";
+    }
+  }
+  return out;
 }
 
-// tip_index_stats('table', 'index')            -> formatted counter string
-// tip_index_stats('table', 'index', 'counter') -> one counter as INT
-// The observability surface for the segmented interval index: lets SQL
-// (and hence tests and benches) assert how often each segment was
-// rebuilt and how selective probes were.
-Status RegisterIndexStats(Database* db) {
-  RoutineRegistry& reg = db->routines();
-  const TypeId s = TypeId::kString;
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_index_stats", {s, s}, s,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        TIP_ASSIGN_OR_RETURN(
-            IndexStatsSnapshot stats,
-            LookupIndexStats(db, a[0].string_value(), a[1].string_value()));
-        return Datum::String(stats.ToString());
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_index_stats", {s, s, s}, TypeId::kInt,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        TIP_ASSIGN_OR_RETURN(
-            IndexStatsSnapshot stats,
-            LookupIndexStats(db, a[0].string_value(), a[1].string_value()));
-        const std::string counter = ToLowerAscii(a[2].string_value());
-        uint64_t value;
-        if (counter == "absolute_builds") {
-          value = stats.absolute_builds;
-        } else if (counter == "overlay_builds") {
-          value = stats.overlay_builds;
-        } else if (counter == "probes") {
-          value = stats.probes;
-        } else if (counter == "rows_scanned") {
-          value = stats.rows_scanned;
-        } else if (counter == "rows_returned") {
-          value = stats.rows_returned;
-        } else if (counter == "delta_applies") {
-          value = stats.delta_applies;
-        } else {
-          return Status::InvalidArgument("unknown index counter '" +
-                                         counter + "'");
+// The observability surface: one routine pair per counter group of
+// engine/metrics.h, so SQL (and hence tests and benches) can assert
+// what each subsystem did.
+Status RegisterCounterRoutines(Database* db) {
+  TIP_RETURN_IF_ERROR(RegisterCounters(
+      db, "tip_index_stats", 2, metrics::kIndex,
+      [db](const std::vector<Datum>& a, const auto& use) -> Result<Datum> {
+        TIP_ASSIGN_OR_RETURN(const Table* table,
+                             db->catalog().GetTable(a[0].string_value()));
+        for (const IntervalIndexDef& def : table->interval_indexes()) {
+          if (EqualsIgnoreCase(def.name, a[1].string_value())) {
+            return use(def.stats());
+          }
         }
-        return Datum::Int(static_cast<int64_t>(value));
-      })));
-  return Status::OK();
+        return Status::NotFound("index '" + a[1].string_value() +
+                                "' does not exist on '" + table->name() +
+                                "'");
+      }));
+  TIP_RETURN_IF_ERROR(RegisterCounters(
+      db, "tip_guard_stats", 0, metrics::kGuard,
+      [db](const std::vector<Datum>&, const auto& use) {
+        return use(db->guard_events());
+      }));
+  TIP_RETURN_IF_ERROR(RegisterCounters(
+      db, "tip_wal_stats", 0, metrics::kWal,
+      [db](const std::vector<Datum>&, const auto& use) {
+        return use(db->durability_stats());
+      }));
+  TIP_RETURN_IF_ERROR(RegisterCounters(
+      db, "tip_plan_stats", 0, metrics::kPlan,
+      [db](const std::vector<Datum>&, const auto& use) { return use(*db); }));
+  TIP_RETURN_IF_ERROR(RegisterCounters(
+      db, "tip_health", 0, metrics::kHealth,
+      [db](const std::vector<Datum>&, const auto& use) {
+        return use(db->integrity_stats());
+      },
+      HealthDetail));
+  return RegisterCounters(
+      db, "tip_server_stats", 0, metrics::kServer,
+      [db](const std::vector<Datum>&, const auto& use) {
+        return use(db->server_stats());
+      });
 }
 
-// tip_guard_stats()          -> formatted lifecycle counters
-// tip_guard_stats('counter') -> one counter as INT
-// The observability surface for the statement lifecycle guard: how often
-// statements on this session hit timeouts, cancels, memory budgets, or
-// degraded a parallel plan to serial.
-Status RegisterGuardStats(Database* db) {
+// The routines that act rather than count. tip_verify() is the scalar
+// twin of CHECK DATABASE; tip_verify_dir('path') deep-scans a durable
+// directory *without* attaching it (no replay, no truncation — safe to
+// point at a directory another process owns).
+Status RegisterControlRoutines(Database* db) {
   RoutineRegistry& reg = db->routines();
   const TypeId s = TypeId::kString;
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_guard_stats", {}, s,
-      [db](const std::vector<Datum>&, EvalContext&) -> Result<Datum> {
-        const GuardEvents& ev = db->guard_events();
-        return Datum::String(
-            "timeouts=" +
-            std::to_string(ev.timeouts.load(std::memory_order_relaxed)) +
-            " cancels=" +
-            std::to_string(ev.cancels.load(std::memory_order_relaxed)) +
-            " oom=" + std::to_string(ev.oom.load(std::memory_order_relaxed)) +
-            " parallel_fallbacks=" +
-            std::to_string(
-                ev.parallel_fallbacks.load(std::memory_order_relaxed)));
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_guard_stats", {s}, TypeId::kInt,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        const GuardEvents& ev = db->guard_events();
-        const std::string counter = ToLowerAscii(a[0].string_value());
-        uint64_t value;
-        if (counter == "timeouts") {
-          value = ev.timeouts.load(std::memory_order_relaxed);
-        } else if (counter == "cancels") {
-          value = ev.cancels.load(std::memory_order_relaxed);
-        } else if (counter == "oom") {
-          value = ev.oom.load(std::memory_order_relaxed);
-        } else if (counter == "parallel_fallbacks") {
-          value = ev.parallel_fallbacks.load(std::memory_order_relaxed);
-        } else {
-          return Status::InvalidArgument("unknown guard counter '" + counter +
-                                         "'");
-        }
-        return Datum::Int(static_cast<int64_t>(value));
-      })));
 
   // tip_sleep_ms(n) -> n after sleeping ~n milliseconds in 1ms slices,
   // checking the statement guard between slices. Exists so tests and
@@ -552,75 +553,6 @@ Status RegisterGuardStats(Database* db) {
         }
         TIP_RETURN_IF_ERROR(eval.CheckGuardNow());
         return Datum::Int(ms);
-      })));
-  return Status::OK();
-}
-
-// tip_wal_stats()          -> formatted durability counters
-// tip_wal_stats('counter') -> one counter as INT
-// tip_checkpoint()         -> takes a checkpoint, returns its LSN
-// The observability surface for the durability subsystem, mirroring
-// tip_index_stats / tip_guard_stats: append and fsync traffic, group-
-// commit effectiveness, and what recovery had to do.
-Status RegisterWalStats(Database* db) {
-  RoutineRegistry& reg = db->routines();
-  const TypeId s = TypeId::kString;
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_wal_stats", {}, s,
-      [db](const std::vector<Datum>&, EvalContext&) -> Result<Datum> {
-        const DurabilityStats stats = db->durability_stats();
-        return Datum::String(
-            "mode=" + std::string(WalModeName(db->wal_mode())) + " " +
-            stats.wal.ToString() +
-            " next_lsn=" + std::to_string(stats.wal_next_lsn) +
-            " checkpoints=" + std::to_string(stats.checkpoints) +
-            " recoveries=" + std::to_string(stats.recoveries_run) +
-            " replayed=" + std::to_string(stats.records_replayed) +
-            " torn_tails=" + std::to_string(stats.torn_tail_truncations) +
-            " txns_committed=" + std::to_string(stats.txns_committed) +
-            " txns_rolled_back=" + std::to_string(stats.txns_rolled_back) +
-            " txn_records_discarded=" +
-            std::to_string(stats.txn_records_discarded));
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_wal_stats", {s}, TypeId::kInt,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        const DurabilityStats stats = db->durability_stats();
-        const std::string counter = ToLowerAscii(a[0].string_value());
-        uint64_t value;
-        if (counter == "records_appended") {
-          value = stats.wal.records_appended;
-        } else if (counter == "bytes_written") {
-          value = stats.wal.bytes_written;
-        } else if (counter == "fsyncs") {
-          value = stats.wal.fsyncs;
-        } else if (counter == "rotations") {
-          value = stats.wal.rotations;
-        } else if (counter == "max_batch_records") {
-          value = stats.wal.max_batch_records;
-        } else if (counter == "checkpoints") {
-          value = stats.checkpoints;
-        } else if (counter == "recoveries_run") {
-          value = stats.recoveries_run;
-        } else if (counter == "records_replayed") {
-          value = stats.records_replayed;
-        } else if (counter == "torn_tail_truncations") {
-          value = stats.torn_tail_truncations;
-        } else if (counter == "next_lsn") {
-          value = stats.wal_next_lsn;
-        } else if (counter == "txns_committed") {
-          value = stats.txns_committed;
-        } else if (counter == "txns_rolled_back") {
-          value = stats.txns_rolled_back;
-        } else if (counter == "txn_records_discarded") {
-          value = stats.txn_records_discarded;
-        } else {
-          return Status::InvalidArgument("unknown wal counter '" + counter +
-                                         "'");
-        }
-        return Datum::Int(static_cast<int64_t>(value));
       })));
 
   // tip_checkpoint() lets the torture harness (and operators) force a
@@ -641,76 +573,6 @@ Status RegisterWalStats(Database* db) {
         TIP_RETURN_IF_ERROR(db->SyncWal());
         return Datum::Int(0);
       })));
-  return Status::OK();
-}
-
-// tip_plan_stats()          -> formatted plan-cache counters
-// tip_plan_stats('counter') -> one counter as INT
-// The observability surface for the prepared-statement plan cache,
-// mirroring the other tip_*_stats routines. Note the stats query itself
-// is a SELECT: with the cache on it takes one miss of its own the first
-// time a session runs it.
-Status RegisterPlanStats(Database* db) {
-  RoutineRegistry& reg = db->routines();
-  const TypeId s = TypeId::kString;
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_plan_stats", {}, s,
-      [db](const std::vector<Datum>&, EvalContext&) -> Result<Datum> {
-        const PlanCacheStats& st = db->plan_cache_stats();
-        return Datum::String(
-            "hits=" + std::to_string(st.hits.load(std::memory_order_relaxed)) +
-            " misses=" +
-            std::to_string(st.misses.load(std::memory_order_relaxed)) +
-            " invalidations=" +
-            std::to_string(st.invalidations.load(std::memory_order_relaxed)) +
-            " evictions=" +
-            std::to_string(st.evictions.load(std::memory_order_relaxed)) +
-            " entries=" + std::to_string(db->plan_cache_entries()) +
-            " capacity=" + std::to_string(db->plan_cache_capacity()) +
-            " catalog_version=" + std::to_string(db->catalog_version()));
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_plan_stats", {s}, TypeId::kInt,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        const PlanCacheStats& st = db->plan_cache_stats();
-        const std::string counter = ToLowerAscii(a[0].string_value());
-        uint64_t value;
-        if (counter == "hits") {
-          value = st.hits.load(std::memory_order_relaxed);
-        } else if (counter == "misses") {
-          value = st.misses.load(std::memory_order_relaxed);
-        } else if (counter == "invalidations") {
-          value = st.invalidations.load(std::memory_order_relaxed);
-        } else if (counter == "evictions") {
-          value = st.evictions.load(std::memory_order_relaxed);
-        } else if (counter == "entries") {
-          value = db->plan_cache_entries();
-        } else if (counter == "capacity") {
-          value = db->plan_cache_capacity();
-        } else if (counter == "catalog_version") {
-          value = db->catalog_version();
-        } else {
-          return Status::InvalidArgument("unknown plan counter '" + counter +
-                                         "'");
-        }
-        return Datum::Int(static_cast<int64_t>(value));
-      })));
-  return Status::OK();
-}
-
-// tip_verify()            -> one-line online scrub verdict (all tables)
-// tip_health()            -> scrub counters + quarantine list
-// tip_health('counter')   -> one counter as INT
-// tip_verify_dir('path')  -> offline deep-scan of a durable directory
-// The observability surface for the integrity subsystem. tip_verify()
-// is the scalar twin of CHECK DATABASE; tip_verify_dir() validates a
-// directory *without* attaching it (no replay, no truncation — safe to
-// point at a directory another process owns).
-Status RegisterIntegrityStats(Database* db) {
-  RoutineRegistry& reg = db->routines();
-  const TypeId s = TypeId::kString;
 
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "tip_verify", {}, s,
@@ -769,59 +631,6 @@ Status RegisterIntegrityStats(Database* db) {
       })));
 
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_health", {}, s,
-      [db](const std::vector<Datum>&, EvalContext&) -> Result<Datum> {
-        const IntegrityStats stats = db->integrity_stats();
-        std::string out =
-            "scrubs=" + std::to_string(stats.scrubs_run) +
-            " objects_checked=" + std::to_string(stats.objects_checked) +
-            " corruptions_found=" + std::to_string(stats.corruptions_found) +
-            " quarantined=" + std::to_string(stats.tables_quarantined) +
-            " scrub_ticks=" + std::to_string(stats.scrub_ticks);
-        for (const auto& [name, cause] : db->catalog().QuarantineList()) {
-          out += " [" + name + ": " + cause + "]";
-        }
-        const auto manifest = db->corruption_manifest();
-        if (!manifest.empty()) {
-          out += " manifest=" + std::to_string(manifest.size());
-          for (const CorruptionManifestEntry& entry : manifest) {
-            out += " {" + entry.object + " @ " + entry.file;
-            if (entry.lsn != 0) out += " lsn=" + std::to_string(entry.lsn);
-            if (entry.offset != 0) {
-              out += " offset=" + std::to_string(entry.offset);
-            }
-            out += ": " + entry.cause + "}";
-          }
-        }
-        return Datum::String(out);
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_health", {s}, TypeId::kInt,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        const IntegrityStats stats = db->integrity_stats();
-        const std::string counter = ToLowerAscii(a[0].string_value());
-        uint64_t value;
-        if (counter == "scrubs_run") {
-          value = stats.scrubs_run;
-        } else if (counter == "objects_checked") {
-          value = stats.objects_checked;
-        } else if (counter == "corruptions_found") {
-          value = stats.corruptions_found;
-        } else if (counter == "quarantined") {
-          value = stats.tables_quarantined;
-        } else if (counter == "scrub_ticks") {
-          value = stats.scrub_ticks;
-        } else if (counter == "manifest_entries") {
-          value = db->corruption_manifest().size();
-        } else {
-          return Status::InvalidArgument("unknown health counter '" +
-                                         counter + "'");
-        }
-        return Datum::Int(static_cast<int64_t>(value));
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "tip_verify_dir", {s}, s,
       [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
         OfflineVerifyReport report;
@@ -841,137 +650,14 @@ Status RegisterIntegrityStats(Database* db) {
   return Status::OK();
 }
 
-// tip_server_stats()          -> formatted server front-end counters
-// tip_server_stats('counter') -> one counter as INT
-// The observability surface for the TCP server front-end: session
-// admission traffic, wire volume, drains, and fail-stop session
-// deaths. Queryable from any session, remote or embedded.
-Status RegisterServerStats(Database* db) {
-  RoutineRegistry& reg = db->routines();
-  const TypeId s = TypeId::kString;
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_server_stats", {}, s,
-      [db](const std::vector<Datum>&, EvalContext&) -> Result<Datum> {
-        const ServerStatsCounters& sv = db->server_stats();
-        return Datum::String(
-            "active=" +
-            std::to_string(
-                sv.sessions_active.load(std::memory_order_relaxed)) +
-            " peak=" +
-            std::to_string(sv.sessions_peak.load(std::memory_order_relaxed)) +
-            " total=" +
-            std::to_string(sv.sessions_total.load(std::memory_order_relaxed)) +
-            " rejected=" +
-            std::to_string(
-                sv.sessions_rejected.load(std::memory_order_relaxed)) +
-            " statements=" +
-            std::to_string(
-                sv.statements_served.load(std::memory_order_relaxed)) +
-            " bytes_in=" +
-            std::to_string(sv.bytes_in.load(std::memory_order_relaxed)) +
-            " bytes_out=" +
-            std::to_string(sv.bytes_out.load(std::memory_order_relaxed)) +
-            " drains=" +
-            std::to_string(sv.drains.load(std::memory_order_relaxed)) +
-            " session_aborts=" +
-            std::to_string(
-                sv.session_aborts.load(std::memory_order_relaxed)) +
-            " cancels=" +
-            std::to_string(
-                sv.cancels_received.load(std::memory_order_relaxed)) +
-            " idle_timeouts=" +
-            std::to_string(sv.idle_timeouts.load(std::memory_order_relaxed)) +
-            " wire_faults=" +
-            std::to_string(sv.wire_faults.load(std::memory_order_relaxed)) +
-            " gate_shared=" +
-            std::to_string(sv.gate_shared.load(std::memory_order_relaxed)) +
-            " gate_exclusive=" +
-            std::to_string(
-                sv.gate_exclusive.load(std::memory_order_relaxed)) +
-            " gate_upgrades=" +
-            std::to_string(
-                sv.gate_upgrades.load(std::memory_order_relaxed)) +
-            " gate_wait_shared_ms=" +
-            std::to_string(
-                sv.gate_wait_shared_ms.load(std::memory_order_relaxed)) +
-            " gate_wait_exclusive_ms=" +
-            std::to_string(
-                sv.gate_wait_exclusive_ms.load(std::memory_order_relaxed)) +
-            " gate_busy_shared=" +
-            std::to_string(
-                sv.gate_busy_shared.load(std::memory_order_relaxed)) +
-            " gate_busy_exclusive=" +
-            std::to_string(
-                sv.gate_busy_exclusive.load(std::memory_order_relaxed)));
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_server_stats", {s}, TypeId::kInt,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        const ServerStatsCounters& sv = db->server_stats();
-        const std::string counter = ToLowerAscii(a[0].string_value());
-        uint64_t value;
-        if (counter == "sessions_active") {
-          value = sv.sessions_active.load(std::memory_order_relaxed);
-        } else if (counter == "sessions_peak") {
-          value = sv.sessions_peak.load(std::memory_order_relaxed);
-        } else if (counter == "sessions_total") {
-          value = sv.sessions_total.load(std::memory_order_relaxed);
-        } else if (counter == "sessions_rejected") {
-          value = sv.sessions_rejected.load(std::memory_order_relaxed);
-        } else if (counter == "statements_served") {
-          value = sv.statements_served.load(std::memory_order_relaxed);
-        } else if (counter == "bytes_in") {
-          value = sv.bytes_in.load(std::memory_order_relaxed);
-        } else if (counter == "bytes_out") {
-          value = sv.bytes_out.load(std::memory_order_relaxed);
-        } else if (counter == "drains") {
-          value = sv.drains.load(std::memory_order_relaxed);
-        } else if (counter == "session_aborts") {
-          value = sv.session_aborts.load(std::memory_order_relaxed);
-        } else if (counter == "cancels_received") {
-          value = sv.cancels_received.load(std::memory_order_relaxed);
-        } else if (counter == "idle_timeouts") {
-          value = sv.idle_timeouts.load(std::memory_order_relaxed);
-        } else if (counter == "wire_faults") {
-          value = sv.wire_faults.load(std::memory_order_relaxed);
-        } else if (counter == "gate_shared") {
-          value = sv.gate_shared.load(std::memory_order_relaxed);
-        } else if (counter == "gate_exclusive") {
-          value = sv.gate_exclusive.load(std::memory_order_relaxed);
-        } else if (counter == "gate_upgrades") {
-          value = sv.gate_upgrades.load(std::memory_order_relaxed);
-        } else if (counter == "gate_wait_shared_ms") {
-          value = sv.gate_wait_shared_ms.load(std::memory_order_relaxed);
-        } else if (counter == "gate_wait_exclusive_ms") {
-          value = sv.gate_wait_exclusive_ms.load(std::memory_order_relaxed);
-        } else if (counter == "gate_busy_shared") {
-          value = sv.gate_busy_shared.load(std::memory_order_relaxed);
-        } else if (counter == "gate_busy_exclusive") {
-          value = sv.gate_busy_exclusive.load(std::memory_order_relaxed);
-        } else {
-          return Status::InvalidArgument("unknown server counter '" + counter +
-                                         "'");
-        }
-        return Datum::Int(static_cast<int64_t>(value));
-      })));
-  return Status::OK();
-}
-
 }  // namespace
 
 Status RegisterBuiltins(Database* db) {
   TIP_RETURN_IF_ERROR(RegisterArithmetic(db));
   TIP_RETURN_IF_ERROR(RegisterCasts(db));
   TIP_RETURN_IF_ERROR(RegisterAggregates(db));
-  TIP_RETURN_IF_ERROR(RegisterIndexStats(db));
-  TIP_RETURN_IF_ERROR(RegisterGuardStats(db));
-  TIP_RETURN_IF_ERROR(RegisterWalStats(db));
-  TIP_RETURN_IF_ERROR(RegisterPlanStats(db));
-  TIP_RETURN_IF_ERROR(RegisterIntegrityStats(db));
-  TIP_RETURN_IF_ERROR(RegisterServerStats(db));
-  return Status::OK();
+  TIP_RETURN_IF_ERROR(RegisterCounterRoutines(db));
+  return RegisterControlRoutines(db);
 }
 
 }  // namespace tip::engine

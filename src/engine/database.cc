@@ -12,6 +12,7 @@
 #include "engine/exec/exec_node.h"
 #include "engine/exec/planner.h"
 #include "engine/exec/row_utils.h"
+#include "engine/metrics.h"
 #include "engine/sql/ast.h"
 #include "engine/sql/parser.h"
 #include "engine/storage/integrity.h"
@@ -563,132 +564,34 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
                            PlanSelect(*stmt.select, pctx, nullptr));
       std::string text;
       plan.root->Explain(0, &text);
+      // Each counter group's row, appended only once its subsystem has
+      // seen traffic (WalStats: once a WAL is attached; IntegrityStats:
+      // once a scrub ran or a table sits in quarantine) so plans from
+      // untouched sessions are unchanged.
+      const GuardEvents& ge = guard_events_;
+      if (ge.timeouts + ge.cancels + ge.oom + ge.parallel_fallbacks > 0) {
+        text += metrics::ExplainRow(metrics::kGuard, ge) + "\n";
+      }
+      const PlanCacheStats& pc = plan_cache_stats_;
+      if (pc.hits + pc.misses + pc.invalidations + pc.evictions > 0) {
+        text += metrics::ExplainRow(metrics::kPlan, *this) + "\n";
+      }
+      if (wal_ != nullptr) {
+        text += metrics::ExplainRow(metrics::kWal, durability_stats()) + "\n";
+      }
+      const IntegrityStats health = integrity_stats();
+      if (health.scrubs_run + health.scrub_ticks + health.tables_quarantined >
+          0) {
+        text += metrics::ExplainRow(metrics::kHealth, health) + "\n";
+      }
+      if (server_stats_.total() > 0) {
+        text += metrics::ExplainRow(metrics::kServer, server_stats_) + "\n";
+      }
       ResultSet result;
       result.columns.push_back({"plan", TypeId::kString});
       for (std::string_view line : SplitString(text, '\n')) {
         if (line.empty()) continue;
         result.rows.push_back(Row{Datum::String(std::string(line))});
-      }
-      // Lifecycle events observed this session, appended only once any
-      // exist so plans from untroubled sessions are unchanged.
-      const uint64_t timeouts =
-          guard_events_.timeouts.load(std::memory_order_relaxed);
-      const uint64_t cancels =
-          guard_events_.cancels.load(std::memory_order_relaxed);
-      const uint64_t oom = guard_events_.oom.load(std::memory_order_relaxed);
-      const uint64_t fallbacks =
-          guard_events_.parallel_fallbacks.load(std::memory_order_relaxed);
-      if (timeouts + cancels + oom + fallbacks > 0) {
-        result.rows.push_back(Row{Datum::String(
-            "GuardStats(timeouts=" + std::to_string(timeouts) +
-            " cancels=" + std::to_string(cancels) +
-            " oom=" + std::to_string(oom) +
-            " parallel_fallbacks=" + std::to_string(fallbacks) + ")")});
-      }
-      // Plan-cache counters, appended only once the cache has seen
-      // traffic so plans from untouched sessions are unchanged.
-      const auto& pc = plan_cache_stats_;
-      const uint64_t pc_hits = pc.hits.load(std::memory_order_relaxed);
-      const uint64_t pc_misses = pc.misses.load(std::memory_order_relaxed);
-      const uint64_t pc_inval =
-          pc.invalidations.load(std::memory_order_relaxed);
-      const uint64_t pc_evict = pc.evictions.load(std::memory_order_relaxed);
-      if (pc_hits + pc_misses + pc_inval + pc_evict > 0) {
-        result.rows.push_back(Row{Datum::String(
-            "PlanCacheStats(hits=" + std::to_string(pc_hits) +
-            " misses=" + std::to_string(pc_misses) +
-            " invalidations=" + std::to_string(pc_inval) +
-            " evictions=" + std::to_string(pc_evict) +
-            " entries=" + std::to_string(plan_cache_entries()) + ")")});
-      }
-      // Durability counters, present only once a WAL is attached so
-      // plans from non-durable sessions are unchanged.
-      if (wal_ != nullptr) {
-        const auto& d = durability_;
-        result.rows.push_back(Row{Datum::String(
-            "WalStats(mode=" + std::string(WalModeName(wal_mode_)) + " " +
-            wal_->stats().ToString() + " next_lsn=" +
-            std::to_string(wal_->next_lsn()) + " checkpoints=" +
-            std::to_string(d.checkpoints.load(std::memory_order_relaxed)) +
-            " recoveries=" +
-            std::to_string(d.recoveries_run.load(std::memory_order_relaxed)) +
-            " replayed=" +
-            std::to_string(
-                d.records_replayed.load(std::memory_order_relaxed)) +
-            " torn_tails=" +
-            std::to_string(
-                d.torn_tail_truncations.load(std::memory_order_relaxed)) +
-            " txns_committed=" +
-            std::to_string(d.txns_committed.load(std::memory_order_relaxed)) +
-            " txns_rolled_back=" +
-            std::to_string(
-                d.txns_rolled_back.load(std::memory_order_relaxed)) +
-            " txn_records_discarded=" +
-            std::to_string(
-                d.txn_records_discarded.load(std::memory_order_relaxed)) +
-            ")")});
-      }
-      // Integrity counters, appended only once a scrub ran or a table
-      // sits in quarantine so untroubled sessions are unchanged.
-      const uint64_t scrubs =
-          integrity_.scrubs_run.load(std::memory_order_relaxed);
-      const uint64_t checked =
-          integrity_.objects_checked.load(std::memory_order_relaxed);
-      const uint64_t found =
-          integrity_.corruptions_found.load(std::memory_order_relaxed);
-      const uint64_t quarantined = catalog_.quarantine_count();
-      const uint64_t ticks =
-          integrity_.scrub_ticks.load(std::memory_order_relaxed);
-      if (scrubs + checked + found + quarantined + ticks > 0) {
-        result.rows.push_back(Row{Datum::String(
-            "IntegrityStats(scrubs=" + std::to_string(scrubs) +
-            " objects_checked=" + std::to_string(checked) +
-            " corruptions_found=" + std::to_string(found) +
-            " quarantined=" + std::to_string(quarantined) +
-            " scrub_ticks=" + std::to_string(ticks) + ")")});
-      }
-      // Server front-end counters, appended only once the TCP server
-      // has seen traffic so embedded-only sessions are unchanged.
-      const ServerStatsCounters& sv = server_stats_;
-      if (sv.total() > 0) {
-        result.rows.push_back(Row{Datum::String(
-            "ServerStats(active=" +
-            std::to_string(
-                sv.sessions_active.load(std::memory_order_relaxed)) +
-            " peak=" +
-            std::to_string(sv.sessions_peak.load(std::memory_order_relaxed)) +
-            " total=" +
-            std::to_string(sv.sessions_total.load(std::memory_order_relaxed)) +
-            " rejected=" +
-            std::to_string(
-                sv.sessions_rejected.load(std::memory_order_relaxed)) +
-            " statements=" +
-            std::to_string(
-                sv.statements_served.load(std::memory_order_relaxed)) +
-            " bytes_in=" +
-            std::to_string(sv.bytes_in.load(std::memory_order_relaxed)) +
-            " bytes_out=" +
-            std::to_string(sv.bytes_out.load(std::memory_order_relaxed)) +
-            " drains=" +
-            std::to_string(sv.drains.load(std::memory_order_relaxed)) +
-            " session_aborts=" +
-            std::to_string(
-                sv.session_aborts.load(std::memory_order_relaxed)) +
-            " gate_shared=" +
-            std::to_string(sv.gate_shared.load(std::memory_order_relaxed)) +
-            " gate_exclusive=" +
-            std::to_string(
-                sv.gate_exclusive.load(std::memory_order_relaxed)) +
-            " gate_upgrades=" +
-            std::to_string(
-                sv.gate_upgrades.load(std::memory_order_relaxed)) +
-            " gate_busy_shared=" +
-            std::to_string(
-                sv.gate_busy_shared.load(std::memory_order_relaxed)) +
-            " gate_busy_exclusive=" +
-            std::to_string(
-                sv.gate_busy_exclusive.load(std::memory_order_relaxed)) +
-            ")")});
       }
       return result;
     }
@@ -1852,6 +1755,7 @@ void Database::set_wal_group_size(uint64_t n) {
 
 DurabilityStats Database::durability_stats() const {
   DurabilityStats stats;
+  stats.mode = wal_mode_;
   stats.checkpoints = durability_.checkpoints.load(std::memory_order_relaxed);
   stats.recoveries_run =
       durability_.recoveries_run.load(std::memory_order_relaxed);
@@ -1881,6 +1785,8 @@ IntegrityStats Database::integrity_stats() const {
       integrity_.corruptions_found.load(std::memory_order_relaxed);
   stats.tables_quarantined = catalog_.quarantine_count();
   stats.scrub_ticks = integrity_.scrub_ticks.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(integrity_mu_);
+  stats.manifest_entries = corruption_manifest_.size();
   return stats;
 }
 

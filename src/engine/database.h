@@ -73,8 +73,9 @@ struct RecoveryReport {
 };
 
 /// Durability counters, surfaced in SQL as tip_wal_stats() and in
-/// EXPLAIN output (same shape as tip_index_stats / tip_guard_stats).
+/// EXPLAIN as WalStats(...) (see engine/metrics.h).
 struct DurabilityStats {
+  WalMode mode = WalMode::kOff;  // the database's `SET wal_mode`
   WalStatsSnapshot wal;  // append-path counters from the live WAL
   uint64_t wal_next_lsn = 0;  // the LSN the next append gets (0: no WAL)
   uint64_t checkpoints = 0;
@@ -87,13 +88,14 @@ struct DurabilityStats {
 };
 
 /// Integrity counters, surfaced in SQL as tip_health() and in EXPLAIN
-/// as IntegrityStats(...).
+/// as IntegrityStats(...) (see engine/metrics.h).
 struct IntegrityStats {
   uint64_t scrubs_run = 0;         // CHECK TABLE/DATABASE statements
   uint64_t objects_checked = 0;    // tables + WAL scans across all scrubs
   uint64_t corruptions_found = 0;  // non-ok findings across all scrubs
   uint64_t tables_quarantined = 0; // currently quarantined
   uint64_t scrub_ticks = 0;        // background scrub steps (SET scrub on)
+  uint64_t manifest_entries = 0;   // corruption_manifest().size()
 };
 
 /// Counters for the multi-session server front-end (src/server), owned

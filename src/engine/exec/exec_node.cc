@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "engine/exec/row_utils.h"
+#include "engine/metrics.h"
 
 namespace tip::engine {
 
@@ -14,6 +15,15 @@ void ExecNode::Explain(int depth, std::string* out) const {
   out->append(static_cast<size_t>(depth) * 2, ' ');
   out->append(DebugName());
   out->push_back('\n');
+}
+
+void AppendIndexStats(const Table& table, size_t column, int depth,
+                      std::string* out) {
+  std::optional<IndexStatsSnapshot> stats = table.IntervalIndexStats(column);
+  if (stats.has_value()) {
+    out->append(static_cast<size_t>(depth) * 2, ' ');
+    out->append(metrics::ExplainRow(metrics::kIndex, *stats) + "\n");
+  }
 }
 
 Result<const Row*> ExecNode::NextBorrowed(ExecState& state) {
@@ -92,12 +102,7 @@ Result<const Row*> IntervalScanNode::NextBorrowed(ExecState&) {
 
 void IntervalScanNode::Explain(int depth, std::string* out) const {
   ExecNode::Explain(depth, out);
-  std::optional<IndexStatsSnapshot> stats =
-      table_->IntervalIndexStats(column_);
-  if (stats.has_value()) {
-    out->append(static_cast<size_t>(depth + 1) * 2, ' ');
-    out->append("IndexStats(" + stats->ToString() + ")\n");
-  }
+  AppendIndexStats(*table_, column_, depth + 1, out);
 }
 
 // -- FilterNode --------------------------------------------------------------
@@ -385,12 +390,7 @@ void IntervalJoinNode::Explain(int depth, std::string* out) const {
   left_->Explain(depth + 1, out);
   out->append(static_cast<size_t>(depth + 1) * 2, ' ');
   out->append("IndexProbe(" + right_table_->name() + ")\n");
-  std::optional<IndexStatsSnapshot> stats =
-      right_table_->IntervalIndexStats(right_column_);
-  if (stats.has_value()) {
-    out->append(static_cast<size_t>(depth + 1) * 2, ' ');
-    out->append("IndexStats(" + stats->ToString() + ")\n");
-  }
+  AppendIndexStats(*right_table_, right_column_, depth + 1, out);
 }
 
 // -- SortNode ----------------------------------------------------------------

@@ -26,6 +26,11 @@ struct ExecState {
   const TupleCtx* outer = nullptr;
 };
 
+/// Appends the IndexStats(...) EXPLAIN row of `table`'s interval index
+/// on `column`, indented to `depth`; nothing when there is none.
+void AppendIndexStats(const Table& table, size_t column, int depth,
+                      std::string* out);
+
 /// A volcano-style physical operator. `Open` fully (re)initializes the
 /// node, so a plan can be executed repeatedly (correlated EXISTS
 /// subplans rely on this). `Next` produces one output row at a time.

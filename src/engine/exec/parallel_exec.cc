@@ -536,12 +536,7 @@ void ParallelIntervalJoinNode::Explain(int depth, std::string* out) const {
               (left_predicate_ != nullptr ? ", filtered" : "") + ")\n");
   AppendIndent(depth + 1, out);
   out->append("IndexProbe(" + right_table_->name() + ")\n");
-  std::optional<IndexStatsSnapshot> stats =
-      right_table_->IntervalIndexStats(right_column_);
-  if (stats.has_value()) {
-    AppendIndent(depth + 1, out);
-    out->append("IndexStats(" + stats->ToString() + ")\n");
-  }
+  AppendIndexStats(*right_table_, right_column_, depth + 1, out);
 }
 
 }  // namespace tip::engine

@@ -46,15 +46,6 @@ std::vector<IntervalEntry> Without(const std::vector<IntervalEntry>& entries,
 
 }  // namespace
 
-std::string IndexStatsSnapshot::ToString() const {
-  return "absolute_builds=" + std::to_string(absolute_builds) +
-         " overlay_builds=" + std::to_string(overlay_builds) +
-         " probes=" + std::to_string(probes) +
-         " rows_scanned=" + std::to_string(rows_scanned) +
-         " rows_returned=" + std::to_string(rows_returned) +
-         " delta_applies=" + std::to_string(delta_applies);
-}
-
 IndexStatsSnapshot IndexStats::Snapshot() const {
   IndexStatsSnapshot out;
   out.absolute_builds = absolute_builds_.load(std::memory_order_relaxed);

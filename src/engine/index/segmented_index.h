@@ -6,7 +6,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -62,10 +61,6 @@ struct IndexStatsSnapshot {
   uint64_t rows_scanned = 0;     // heap rows examined during builds
   uint64_t rows_returned = 0;    // candidate row ids produced by probes
   uint64_t delta_applies = 0;    // writes folded in without a full build
-
-  /// `absolute_builds=1 overlay_builds=0 probes=3 ...` — the format
-  /// tip_index_stats() returns and EXPLAIN prints.
-  std::string ToString() const;
 };
 
 /// Monotonic per-index counters. Probes run outside the rebuild mutex,

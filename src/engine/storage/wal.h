@@ -60,7 +60,6 @@ struct WalStatsSnapshot {
   /// Largest number of records covered by one fsync (the group-commit
   /// batch size actually achieved).
   uint64_t max_batch_records = 0;
-  std::string ToString() const;
 };
 
 /// A point in the log that ResetToMark can rewind to. Valid only while

@@ -74,23 +74,52 @@ class ServerConcurrencyTest : public ::testing::Test {
 
 // ---- Reader overlap --------------------------------------------------------
 
-// Two sessions sleeping 300ms each finish in well under 600ms: the
-// shared gate admits both at once. This is the tentpole in one assert —
-// under the old exclusive gate the sleeps serialize.
+// While one session's read holds the shared gate, another session's
+// read runs to completion: the shared gate admits both at once. Proved
+// by ordering rather than by wall time, so a loaded host cannot fail
+// it; under an exclusive gate B's read waits out lock_wait_ms and
+// fails "server busy".
 TEST_F(ServerConcurrencyTest, ConcurrentReadersOverlap) {
-  StartServer();
+  ServerOptions options;
+  options.lock_wait_ms = 5000;  // bounds only the failing case
+  StartServer(options);
   std::unique_ptr<RemoteConnection> a = Connect();
   std::unique_ptr<RemoteConnection> b = Connect();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
 
-  const int64_t start = NowMs();
-  std::thread other([&] { Exec(b.get(), "SELECT tip_sleep_ms(300)"); });
-  Exec(a.get(), "SELECT tip_sleep_ms(300)");
-  other.join();
-  const int64_t elapsed = NowMs() - start;
-  EXPECT_LT(elapsed, 550) << "readers serialized: " << elapsed << "ms";
+  const std::atomic<uint64_t>& gate_shared = db_->server_stats().gate_shared;
+  const uint64_t before = gate_shared.load();
+  std::atomic<bool> a_done{false};
+  Result<client::ResultSet> a_result = Status::Internal("not run");
+  std::thread sleeper([&] {
+    a_result = a->Execute("SELECT tip_sleep_ms(60000)");
+    a_done = true;
+  });
+  // AcquireShared bumps gate_shared only once A is admitted, so from
+  // then on A holds the gate shared until its minute-long sleep ends.
+  for (int i = 0; i < 10000 && gate_shared.load() == before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool a_admitted = gate_shared.load() > before;
+  Result<client::ResultSet> b_result = b->Execute("SELECT 1");
+  const bool a_running = !a_done.load();
 
+  // A cancel that lands between A's admission and the start of its
+  // statement guard is lost; keep presenting the key until A reports in.
+  for (int i = 0; i < 500 && !a_done; ++i) {
+    EXPECT_TRUE(a->Cancel().ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  sleeper.join();
+
+  EXPECT_TRUE(a_admitted) << "A's read never took the shared gate";
+  EXPECT_TRUE(b_result.ok()) << "readers serialized: "
+                             << b_result.status().ToString();
+  EXPECT_TRUE(a_running) << "A finished before B's read completed";
+  ASSERT_FALSE(a_result.ok());
+  EXPECT_EQ(a_result.status().code(), StatusCode::kCancelled)
+      << a_result.status().ToString();
   EXPECT_GE(
       Exec(a.get(), "SELECT tip_server_stats('gate_shared')").GetInt(0, 0),
       2);

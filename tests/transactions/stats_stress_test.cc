@@ -1,14 +1,17 @@
-// Stats-reader stress: tip_wal_stats() / tip_guard_stats() / EXPLAIN
-// counter reads run from reader threads while one writer thread drives
-// transactions, checkpoints and guard trips on the same Database. Run
-// under TSan (ctest -L concurrency in a -DTIP_SANITIZE=thread build)
-// this is the regression test for unsynchronized counter access: the
-// durability counters must be atomics, not plain integers.
+// Stats-reader stress: every counter group's routines (formatted and
+// per-counter) and EXPLAIN's stats rows are read from reader threads
+// while one writer thread drives transactions, checkpoints, scrubs and
+// guard trips on the same Database. Run under TSan (ctest -L
+// concurrency in a -DTIP_SANITIZE=thread build) this is the regression
+// test for unsynchronized counter access: every counter the registry
+// reads must be an atomic or a snapshot of atomics.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -30,14 +33,22 @@ TEST(StatsStressTest, ReadersRaceTransactionsCheckpointsAndCancels) {
   ASSERT_TRUE(datablade::Install(db.get()).ok());
   ASSERT_TRUE(db->AttachDurableDir(dir).ok());
   ASSERT_TRUE(db->Execute("CREATE TABLE t (id INT)").ok());
+  // A read-only indexed table the readers probe, so the index counters
+  // move while they are polled.
+  ASSERT_TRUE(db->Execute("CREATE TABLE ix (valid Element)").ok());
+  ASSERT_TRUE(
+      db->Execute("INSERT INTO ix VALUES ('{[1999-01-01, 1999-06-30]}')")
+          .ok());
+  ASSERT_TRUE(
+      db->Execute("CREATE INDEX ix_valid ON ix (valid) USING interval").ok());
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
 
-  // Readers touch only the observability surface: stats builtins and
-  // EXPLAIN over a table-free SELECT. Table data stays writer-private
-  // (the engine's contract), the counters are the shared state under
-  // test.
+  // Readers touch only the observability surface and the read-only
+  // table ix: stats builtins, EXPLAIN and index probes. The writer's
+  // table stays writer-private (the engine's contract), the counters
+  // are the shared state under test.
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&db, &stop, &reads] {
@@ -48,10 +59,23 @@ TEST(StatsStressTest, ReadersRaceTransactionsCheckpointsAndCancels) {
           "SELECT tip_guard_stats()",
           "SELECT tip_guard_stats('timeouts')",
           "EXPLAIN SELECT 1",
+          "SELECT tip_index_stats('ix', 'ix_valid')",
+          "SELECT tip_index_stats('ix', 'ix_valid', 'probes')",
+          "SELECT tip_plan_stats()",
+          "SELECT tip_plan_stats('hits')",
+          "SELECT tip_health()",
+          "SELECT tip_health('scrubs_run')",
+          "SELECT tip_server_stats()",
+          "SELECT tip_server_stats('statements_served')",
+          "SELECT count(*) FROM ix WHERE overlaps(valid, "
+          "'{[1999-03-01, 1999-03-31]}'::Element)",
+          "EXPLAIN SELECT valid FROM ix WHERE overlaps(valid, "
+          "'{[1999-03-01, 1999-03-31]}'::Element)",
       };
       size_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        Result<ResultSet> result = db->Execute(queries[i++ % 6]);
+        Result<ResultSet> result =
+            db->Execute(queries[i++ % std::size(queries)]);
         // The canceller may legitimately interrupt a read; anything
         // else is a real failure.
         EXPECT_TRUE(result.ok() ||
@@ -73,8 +97,9 @@ TEST(StatsStressTest, ReadersRaceTransactionsCheckpointsAndCancels) {
 
   // The writer (this thread, keeping writes single-threaded per the
   // engine contract) commits, rolls back, trips a timeout inside a
-  // transaction and checkpoints, bumping every counter family the
-  // readers poll.
+  // transaction, scrubs and checkpoints, and stands in for the server
+  // front-end's counter bumps, moving every counter group the readers
+  // poll.
   for (int round = 0; round < 40; ++round) {
     ASSERT_TRUE(db->BeginTransaction().ok());
     (void)db->Execute("INSERT INTO t VALUES (" + std::to_string(round) +
@@ -83,6 +108,13 @@ TEST(StatsStressTest, ReadersRaceTransactionsCheckpointsAndCancels) {
       (void)db->RollbackTransaction();
     } else if (db->InTransaction()) {
       (void)db->CommitTransaction();
+    }
+    db->server_stats().statements_served.fetch_add(1);
+    if (round % 4 == 1) {
+      Result<ResultSet> checked = db->Execute("CHECK TABLE t");
+      EXPECT_TRUE(checked.ok() ||
+                  checked.status().code() == StatusCode::kCancelled)
+          << checked.status().ToString();
     }
     if (round % 5 == 4) {
       Status checkpointed = db->Checkpoint();
